@@ -90,72 +90,20 @@ class ForayExtractor:
         for record in records:
             self.emit(record)
 
-    def emit_block(self, accesses, checkpoints) -> None:
-        """Batched sink entry point (the engines' hot path).
-
-        ``accesses`` are ``(pc, addr, size, is_write)`` tuples and
-        ``checkpoints`` are ``(pos, checkpoint_id, kind_code)`` tuples as
-        described in :mod:`repro.sim.trace`. Processing stays strictly
-        online and constant-space: the block is consumed event by event
-        without constructing record objects, and the paper's loop-iterator
-        vector is recomputed only when a checkpoint changes it.
-        """
-        tree = self._tree
-        stats = self.stats
-        on_checkpoint = tree.on_checkpoint_code
-        ci = 0
-        ncp = len(checkpoints)
-        node = tree.current
-        iterators = tree.current_iterators()
-        for i, (pc, addr, size, is_write) in enumerate(accesses):
-            if ci < ncp and checkpoints[ci][0] <= i:
-                while ci < ncp and checkpoints[ci][0] <= i:
-                    entry = checkpoints[ci]
-                    ci += 1
-                    on_checkpoint(entry[1], entry[2])
-                node = tree.current
-                iterators = tree.current_iterators()
-            stats.total_accesses += 1
-            if pc >= LIB_PC_BASE:
-                # System-library references are not handled by FORAY-GEN
-                # (paper Section 5.2) but are counted for Table III.
-                stats.lib_accesses += 1
-                stats.lib_refs.add((node.uid, pc))
-                stats.lib_addresses.add(addr)
-                continue
-            stats.user_accesses += 1
-            stats.user_refs.add((node.uid, pc))
-            stats.user_addresses.add(addr)
-            solver = node.references.get(pc)
-            if solver is None:
-                solver = ReferenceSolver(pc, node.depth)
-                node.references[pc] = solver
-            solver.observe(addr, iterators, is_write, size)
-        while ci < ncp:
-            entry = checkpoints[ci]
-            ci += 1
-            on_checkpoint(entry[1], entry[2])
-
     def emit_columns(self, block: ColumnBlock) -> None:
-        """Columnar sink entry point.
+        """Columnar sink entry point (the engines' hot path).
 
         The segment-independent Table III tallies (access counts and
         footprint sets) are computed block-wide from the columns; the
-        order-dependent work — loop-tree checkpoints, per-reference
-        solver observations — walks the plain-list views, which keeps
-        every value stashed in long-lived sets a native Python int.
+        order-dependent work walks the block's checkpoint-free segments
+        (:meth:`LoopTreeBuilder.walk_block`) and feeds each access to its
+        reference's solver with the segment's iterator vector. Values
+        stashed in long-lived sets come from the plain-list views, so
+        they stay native Python ints.
         """
-        checkpoints = block.checkpoints
-        tree = self._tree
-        on_checkpoint = tree.on_checkpoint_code
-        ci = 0
-        ncp = len(checkpoints)
+        segments = self._tree.walk_block(block)
         n = block.n
         if n == 0:
-            while ci < ncp:
-                entry = checkpoints[ci]
-                ci += 1
-                on_checkpoint(entry[1], entry[2])
             return
         pcs, addrs, sizes, writes = block.lists()
         stats = self.stats
@@ -180,29 +128,21 @@ class ForayExtractor:
                     stats.lib_addresses.add(addr)
                 else:
                     stats.user_addresses.add(addr)
-        node = tree.current
-        iterators = tree.current_iterators()
-        for i, pc in enumerate(pcs):
-            if ci < ncp and checkpoints[ci][0] <= i:
-                while ci < ncp and checkpoints[ci][0] <= i:
-                    entry = checkpoints[ci]
-                    ci += 1
-                    on_checkpoint(entry[1], entry[2])
-                node = tree.current
-                iterators = tree.current_iterators()
-            if pc >= LIB_PC_BASE:
-                stats.lib_refs.add((node.uid, pc))
-                continue
-            stats.user_refs.add((node.uid, pc))
-            solver = node.references.get(pc)
-            if solver is None:
-                solver = ReferenceSolver(pc, node.depth)
-                node.references[pc] = solver
-            solver.observe(addrs[i], iterators, writes[i], sizes[i])
-        while ci < ncp:
-            entry = checkpoints[ci]
-            ci += 1
-            on_checkpoint(entry[1], entry[2])
+        lib_refs = stats.lib_refs
+        user_refs = stats.user_refs
+        for start, end, node, iterators in segments:
+            uid = node.uid
+            solvers = node.references
+            for i in range(start, end):
+                pc = pcs[i]
+                if pc >= LIB_PC_BASE:
+                    lib_refs.add((uid, pc))
+                    continue
+                user_refs.add((uid, pc))
+                solver = solvers.get(pc)
+                if solver is None:
+                    solver = solvers[pc] = ReferenceSolver(pc, node.depth)
+                solver.observe(addrs[i], iterators, writes[i], sizes[i])
 
     # -- record processing ---------------------------------------------------
 

@@ -16,6 +16,12 @@ Popping on mismatch is what lets three checkpoint kinds disambiguate loop
 where the inner ``for`` simply stops appearing) and sequential-vs-nested
 loops.
 
+Every entry below the top of that stack always has its body open, and
+the stack is exactly the top node's path from the root. So the builder
+keeps only ``(top node, top body open)``: that pair is the whole state,
+which is what lets :meth:`LoopTreeBuilder.walk_block` memoize every
+transition on ``(top, body open, checkpoint id, kind)``.
+
 Because a node is identified by its *path* from the root, a loop executed
 under two different call sites (or two different outer loops) yields two
 distinct nodes — this is the "functions appear inlined" property the paper
@@ -25,8 +31,20 @@ uses for inlining hints.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import Iterator
 
-from repro.sim.trace import Checkpoint, CheckpointKind, CheckpointMap
+from repro.sim.trace import (
+    BODY_BEGIN_CODE,
+    LOOP_BEGIN_CODE,
+    Checkpoint,
+    CheckpointKind,
+    CheckpointMap,
+    ColumnBlock,
+    KIND_TO_CODE,
+)
+
+_ITERATION = attrgetter("iteration")
 
 
 @dataclass
@@ -56,6 +74,16 @@ class LoopNode:
     # value type to avoid a circular import.
     references: dict[int, object] = field(default_factory=dict)
 
+    #: This node and its enclosing loops, innermost first (root excluded):
+    #: the loops whose iterators form the paper's IT1..ITN vector here.
+    lineage: tuple["LoopNode", ...] = field(
+        default=(), init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        if self.parent is not None:
+            self.lineage = (self,) + self.parent.lineage
+
     @property
     def is_root(self) -> bool:
         return self.parent is None
@@ -63,13 +91,11 @@ class LoopNode:
     def path_from_root(self) -> tuple["LoopNode", ...]:
         """Loop nodes from the outermost enclosing loop down to self
         (excluding the root)."""
-        path: list[LoopNode] = []
-        node: LoopNode | None = self
-        while node is not None and not node.is_root:
-            path.append(node)
-            node = node.parent
-        path.reverse()
-        return tuple(path)
+        return self.lineage[::-1]
+
+    def iterators(self) -> tuple[int, ...]:
+        """Current iterator values of :attr:`lineage`, innermost first."""
+        return tuple(map(_ITERATION, self.lineage))
 
     def begin_entry(self) -> None:
         self._close_trip()
@@ -95,72 +121,105 @@ class LoopNode:
         for child in self.children.values():
             child.finalize()
 
-    def iter_subtree(self):
+    def iter_subtree(self) -> Iterator["LoopNode"]:
         yield self
         for child in self.children.values():
             yield from child.iter_subtree()
 
 
+#: One checkpoint-free run of a block's accesses, ``[start, end)``, with
+#: the loop node they belong to and its iterator vector (innermost first).
+Segment = tuple[int, int, LoopNode, tuple[int, ...]]
+
+
 class LoopTreeBuilder:
     """Streaming implementation of Algorithm 2.
 
-    Feed :class:`Checkpoint` records through :meth:`on_checkpoint`; between
-    checkpoints, :attr:`current` is the loop node that subsequent memory
-    accesses belong to and :meth:`current_iterators` gives the paper's
-    IT1..ITN vector (innermost first).
+    Feed :class:`Checkpoint` records through :meth:`on_checkpoint`, or
+    whole trace blocks through :meth:`walk_block`; between checkpoints,
+    :attr:`current` is the loop node that subsequent memory accesses
+    belong to and :meth:`current_iterators` gives the paper's IT1..ITN
+    vector (innermost first).
     """
 
     def __init__(self, checkpoint_map: CheckpointMap):
         self._map = checkpoint_map
         self.root = LoopNode(0, "root")
         self._next_uid = 1
-        #: Stack of (node, body_open); the root is always at the bottom.
-        self._stack: list[list] = [[self.root, True]]
+        #: Top of the loop stack and whether its body is open; the stack
+        #: itself is ``_top``'s path from the root.
+        self._top = self.root
+        self._open = True
+        #: (top uid, top body open, checkpoint id, kind code) -> new top.
+        self._transitions: dict[tuple[int, bool, int, int], LoopNode] = {}
 
     @property
     def current(self) -> LoopNode:
-        return self._stack[-1][0]
+        return self._top
 
     @property
     def depth(self) -> int:
         """Loop nest depth at the current position (root not counted)."""
-        return len(self._stack) - 1
+        return self._top.depth
 
     def current_iterators(self) -> tuple[int, ...]:
         """IT1..ITN — current iterator values, innermost loop first."""
-        return tuple(
-            self._stack[i][0].iteration for i in range(len(self._stack) - 1, 0, -1)
-        )
+        return self._top.iterators()
 
     def on_checkpoint(self, record: Checkpoint) -> None:
-        kind = record.kind
-        checkpoint_id = record.checkpoint_id
-        if kind is CheckpointKind.LOOP_BEGIN:
+        self.on_checkpoint_code(record.checkpoint_id, KIND_TO_CODE[record.kind])
+
+    def on_checkpoint_code(self, checkpoint_id: int, kind_code: int) -> None:
+        """Batched-protocol entry point: kind as a compact integer code
+        (see :data:`repro.sim.trace.KIND_TO_CODE`)."""
+        if kind_code == LOOP_BEGIN_CODE:
             self._on_loop_begin(checkpoint_id)
-        elif kind is CheckpointKind.BODY_BEGIN:
+        elif kind_code == BODY_BEGIN_CODE:
             self._on_body_begin(checkpoint_id)
         else:
             self._on_body_end(checkpoint_id)
 
-    def on_checkpoint_code(self, checkpoint_id: int, kind_code: int) -> None:
-        """Batched-protocol entry point: kind as a compact integer code.
+    def walk_block(self, block: ColumnBlock) -> list[Segment]:
+        """Apply a block's checkpoints; return its non-empty access runs.
 
-        Avoids constructing a :class:`Checkpoint` record per event (see
-        :data:`repro.sim.trace.KIND_TO_CODE`).
+        Each run is one :data:`Segment`, its iterator vector snapshotted
+        when the run starts. A transition seen before is replayed from
+        the memo (plus its counter side effect); first sightings, and
+        every failing checkpoint, go through :meth:`on_checkpoint_code`,
+        so errors raise exactly as they do there and are never memoized.
         """
-        if kind_code == 0:  # LOOP_BEGIN
-            self._on_loop_begin(checkpoint_id)
-        elif kind_code == 1:  # BODY_BEGIN
-            self._on_body_begin(checkpoint_id)
-        else:  # BODY_END
-            self._on_body_end(checkpoint_id)
+        segments: list[Segment] = []
+        transitions = self._transitions
+        top = self._top
+        top_open = self._open
+        start = 0
+        for pos, checkpoint_id, kind_code in block.checkpoints:
+            if pos > start:
+                segments.append((start, pos, top, top.iterators()))
+                start = pos
+            key = (top.uid, top_open, checkpoint_id, kind_code)
+            nxt = transitions.get(key)
+            if nxt is None:
+                self._top, self._open = top, top_open
+                self.on_checkpoint_code(checkpoint_id, kind_code)
+                nxt = transitions[key] = self._top
+            elif kind_code == BODY_BEGIN_CODE:
+                nxt.begin_iteration()
+            elif kind_code == LOOP_BEGIN_CODE:
+                nxt.begin_entry()
+            top = nxt
+            top_open = kind_code == BODY_BEGIN_CODE
+        if block.n > start:
+            segments.append((start, block.n, top, top.iterators()))
+        self._top, self._open = top, top_open
+        return segments
 
     def _on_loop_begin(self, begin_id: int) -> None:
         # A new loop starting while the top's body is closed means the top
         # loop has exited: pop it.
-        while len(self._stack) > 1 and not self._stack[-1][1]:
-            self._stack.pop()
-        parent = self.current
+        parent = self._top
+        if not self._open and parent.parent is not None:
+            parent = parent.parent
         child = parent.children.get(begin_id)
         if child is None:
             info = self._map.infos.get(begin_id)
@@ -171,13 +230,17 @@ class LoopTreeBuilder:
             self._next_uid += 1
             parent.children[begin_id] = child
         child.begin_entry()
-        self._stack.append([child, False])
+        self._top, self._open = child, False
 
     def _find_on_stack(self, begin_id: int, body_kind: CheckpointKind) -> None:
         """Pop until the node owning ``begin_id`` is on top."""
-        while len(self._stack) > 1 and self._stack[-1][0].begin_id != begin_id:
-            self._stack.pop()
-        if self._stack[-1][0].begin_id != begin_id:
+        node = self._top
+        while node.parent is not None and node.begin_id != begin_id:
+            node = node.parent
+        if node is not self._top:
+            # Every entry below the top has its body open.
+            self._top, self._open = node, True
+        if node.begin_id != begin_id:
             raise ValueError(
                 f"{body_kind.value} checkpoint for loop {begin_id} "
                 "without a matching loop-begin"
@@ -186,14 +249,13 @@ class LoopTreeBuilder:
     def _on_body_begin(self, body_begin_id: int) -> None:
         begin_id = self._owning_loop(body_begin_id)
         self._find_on_stack(begin_id, CheckpointKind.BODY_BEGIN)
-        top = self._stack[-1]
-        top[1] = True
-        top[0].begin_iteration()
+        self._open = True
+        self._top.begin_iteration()
 
     def _on_body_end(self, body_end_id: int) -> None:
         begin_id = self._owning_loop(body_end_id)
         self._find_on_stack(begin_id, CheckpointKind.BODY_END)
-        self._stack[-1][1] = False
+        self._open = False
 
     def _owning_loop(self, checkpoint_id: int) -> int:
         """Map a body-begin/body-end id back to its loop's begin id."""

@@ -11,12 +11,13 @@ the model's affine expression predicts exactly.
   semantics the paper gives them — and are scored on the accesses in
   between.
 
-:class:`ValidationSink` implements the engines' batched trace-sink
-protocol, so a replay can be scored *online* while the program runs —
-the replayed trace is never materialized. The ``validate`` pipeline
-stage (:mod:`repro.pipeline`) drives it over a workload's whole input
-scenario matrix; :func:`validate_model` is the classic offline entry
-point for stored record streams.
+:class:`ValidationSink` implements the engines' columnar sink protocol
+(``emit_columns``), so a replay can be scored *online* while the program
+runs — the replayed trace is never materialized — one block at a time.
+The ``validate`` pipeline stage (:mod:`repro.pipeline`) drives it over a
+workload's whole input scenario matrix; :func:`validate_model` is the
+offline entry point for stored record streams, batching them into
+blocks for the same sink.
 
 Typical use::
 
@@ -35,18 +36,27 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Iterable
+from itertools import chain
+from operator import attrgetter, itemgetter
+from typing import Any, Iterable
 
 from repro.foray.looptree import LoopTreeBuilder
 from repro.foray.model import ForayModel, ForayReference
 from repro.sim.trace import (
     LIB_PC_BASE,
-    Access,
     CheckpointMap,
     ColumnBlock,
     TraceRecord,
-    is_library_pc,
+    blocks_from_records,
 )
+
+_np: Any = None
+try:
+    import numpy as _numpy
+except ImportError:  # pragma: no cover - numpy ships with the toolchain
+    pass
+else:
+    _np = _numpy
 
 
 @dataclass
@@ -154,129 +164,206 @@ class ValidationReport:
         return digest.hexdigest()
 
 
-class _RefState:
-    __slots__ = ("validation", "expression", "rebase", "offset", "anchor_iters")
-
-    def __init__(self, validation: ReferenceValidation):
-        self.validation = validation
-        self.expression = validation.reference.expression
-        #: Partial expressions may re-anchor their constant per context.
-        self.rebase = not validation.reference.is_full
-        self.offset: int | None = None
-        self.anchor_iters: tuple[int, ...] | None = None
+#: Magnitude limit of exact int64 arithmetic.
+_INT64_LIMIT = 2**63
+#: Field readers of a :data:`repro.foray.looptree.Segment`.
+_START, _END, _NODE, _ITERATORS = (itemgetter(i) for i in range(4))
+_UID = attrgetter("uid")
 
 
 class ValidationSink:
-    """A trace sink that scores a model online while an engine runs.
+    """A columnar trace sink that scores a model online while an engine
+    runs: attach it via ``run_compiled(..., sinks=(sink,))``, or replay
+    stored records through :func:`validate_model`.
 
-    Implements both entry points of the sink protocol: the per-record
-    :meth:`emit` (stored-trace replay) and the batched :meth:`emit_block`
-    hot path (attach directly to a simulation via
-    ``run_compiled(..., sinks=(sink,))``). References are matched by
-    (loop-begin-id path, pc), which is stable across runs — and across
-    input scenarios, whose sources share one AST skeleton by construction.
+    References are matched by (loop-begin-id path, pc), which is stable
+    across runs — and across input scenarios, whose sources share one AST
+    skeleton by construction. Scoring is per block: the loop-tree walk
+    splits the block into checkpoint-free segments, each access finds
+    its reference through a (path id, pc) code, full references are
+    scored with one vectorized predict-and-compare, and only partial
+    references' accesses take the sequential re-anchoring loop (anchors
+    carry across blocks). Library pcs are never scored, and a replayed
+    nest shallower than an expression's M scores a misprediction.
+
+    The model's constants and coefficients live in int64 arrays when
+    their magnitudes allow, else in Python-int object arrays; a block
+    whose iterators could overflow int64 is scored with Python ints, so
+    scoring is always exact.
     """
 
     def __init__(self, model: ForayModel, checkpoint_map: CheckpointMap):
-        self._report = ValidationReport()
-        self._states: dict[tuple[tuple[int, ...], int], _RefState] = {}
-        for reference in model.references:
-            validation = ReferenceValidation(reference)
-            self._report.per_reference.append(validation)
-            path_key = tuple(loop.begin_id for loop in reference.loop_path)
-            self._states[(path_key, reference.pc)] = _RefState(validation)
-        self._builder = LoopTreeBuilder(checkpoint_map)
-
-    def emit(self, record: TraceRecord) -> None:
-        if isinstance(record, Access):
-            if not is_library_pc(record.pc):
-                self._score_at_current(record.pc, record.addr)
-        else:
-            self._builder.on_checkpoint(record)
-
-    def emit_block(self, accesses, checkpoints) -> None:
-        # Mirrors the extractor's batched loop: the loop position (and so
-        # the path key and iterator vector) only changes at checkpoints,
-        # so both are recomputed per checkpoint run, not per access.
-        builder = self._builder
-        states = self._states
-        on_checkpoint = builder.on_checkpoint_code
-        ci = 0
-        ncp = len(checkpoints)
-        path_key = tuple(
-            n.begin_id for n in builder.current.path_from_root()
+        if _np is None:  # pragma: no cover - numpy ships with the toolchain
+            raise RuntimeError("ValidationSink requires numpy")
+        references = model.references
+        self._report = ValidationReport(
+            [ReferenceValidation(reference) for reference in references]
         )
-        iterators = builder.current_iterators()
-        for i, (pc, addr, _size, _is_write) in enumerate(accesses):
-            if ci < ncp and checkpoints[ci][0] <= i:
-                while ci < ncp and checkpoints[ci][0] <= i:
-                    entry = checkpoints[ci]
-                    ci += 1
-                    on_checkpoint(entry[1], entry[2])
-                path_key = tuple(
-                    n.begin_id for n in builder.current.path_from_root()
-                )
-                iterators = builder.current_iterators()
-            if pc >= LIB_PC_BASE:
-                continue
-            state = states.get((path_key, pc))
-            if state is not None:
-                _score_access(state, addr, iterators)
-        while ci < ncp:
-            entry = checkpoints[ci]
-            ci += 1
-            on_checkpoint(entry[1], entry[2])
+        self._builder = LoopTreeBuilder(checkpoint_map)
+        # A repeated (path, pc) key scores only its last reference.
+        owner_of: dict[tuple[tuple[int, ...], int], int] = {}
+        for index, reference in enumerate(references):
+            path = tuple(loop.begin_id for loop in reference.loop_path)
+            owner_of[(path, reference.pc)] = index
+        #: Loop-begin-id path -> path id; node uid -> path id (-1: no
+        #: reference lives under that node).
+        self._path_ids: dict[tuple[int, ...], int] = {}
+        self._node_paths: dict[int, int] = {}
+        # User pcs lie in [0, LIB_PC_BASE), so pid * LIB_PC_BASE + pc
+        # is a unique code per (path, pc).
+        coded = []
+        for (path, pc), index in owner_of.items():
+            if 0 <= pc < LIB_PC_BASE:
+                pid = self._path_ids.setdefault(path, len(self._path_ids))
+                coded.append((pid * LIB_PC_BASE + pc, index))
+        coded.sort()
+        self._codes: Any = _np.array([c for c, _ in coded], dtype=_np.int64)
+        self._owners: Any = _np.array([i for _, i in coded], dtype=_np.intp)
+
+        expressions = [reference.expression for reference in references]
+        self._m = [expression.num_iterators for expression in expressions]
+        width = max(self._m, default=0)
+        self._width = width
+        rows = [
+            (expression.used_coefficients() + (0,) * width)[:width]
+            for expression in expressions
+        ]
+        consts = [expression.const for expression in expressions]
+        self._const_bound = max(map(abs, consts), default=0)
+        self._coef_bound = max(
+            (sum(map(abs, row)) for row in rows), default=0
+        )
+        dtype = (
+            _np.int64
+            if max(self._const_bound, self._coef_bound) < _INT64_LIMIT
+            else object
+        )
+        self._const: Any = _np.array(consts, dtype=dtype)
+        self._coef: Any = _np.array(rows, dtype=dtype).reshape(
+            len(references), width
+        )
+        self._m_arr: Any = _np.array(self._m, dtype=_np.int64)
+        self._full: Any = _np.array(
+            [reference.is_full for reference in references], dtype=bool
+        )
+        self._checked: Any = _np.zeros(len(references), dtype=_np.int64)
+        self._predicted: Any = _np.zeros(len(references), dtype=_np.int64)
+        #: Partial references' current anchor: the outer iterators and
+        #: the re-based constant.
+        self._anchors: list[tuple[int, ...] | None] = [None] * len(references)
+        self._offsets: list[int] = [0] * len(references)
 
     def emit_columns(self, block: ColumnBlock) -> None:
-        """Columnar sink entry point: same per-segment recomputation as
-        :meth:`emit_block`, walking the block's plain-list views (sizes
-        and write flags are never consulted by scoring)."""
-        checkpoints = block.checkpoints
-        builder = self._builder
-        states = self._states
-        on_checkpoint = builder.on_checkpoint_code
-        ci = 0
-        ncp = len(checkpoints)
-        if block.n:
-            pcs, addrs, _sizes, _writes = block.lists()
-            path_key = tuple(
-                node.begin_id for node in builder.current.path_from_root()
-            )
-            iterators = builder.current_iterators()
-            for i, pc in enumerate(pcs):
-                if ci < ncp and checkpoints[ci][0] <= i:
-                    while ci < ncp and checkpoints[ci][0] <= i:
-                        entry = checkpoints[ci]
-                        ci += 1
-                        on_checkpoint(entry[1], entry[2])
-                    path_key = tuple(
-                        node.begin_id
-                        for node in builder.current.path_from_root()
-                    )
-                    iterators = builder.current_iterators()
-                if pc >= LIB_PC_BASE:
-                    continue
-                state = states.get((path_key, pc))
-                if state is not None:
-                    _score_access(state, addrs[i], iterators)
-        while ci < ncp:
-            entry = checkpoints[ci]
-            ci += 1
-            on_checkpoint(entry[1], entry[2])
+        segments = self._builder.walk_block(block)
+        if not segments or not len(self._codes):
+            return
+        nseg = len(segments)
+        # Per-segment columns, gathered without a Python-level loop.
+        nodes = list(map(_NODE, segments))
+        uids = list(map(_UID, nodes))
+        node_paths = self._node_paths
+        for uid, node in dict(zip(uids, nodes)).items():
+            if uid not in node_paths:
+                path = tuple(loop.begin_id for loop in node.path_from_root())
+                node_paths[uid] = self._path_ids.get(path, -1)
+        pids = _np.fromiter(map(node_paths.__getitem__, uids), _np.int64, nseg)
+        starts = _np.fromiter(map(_START, segments), _np.intp, nseg)
+        ends = _np.fromiter(map(_END, segments), _np.intp, nseg)
+        seg_iters = list(map(_ITERATORS, segments))
+        depths = _np.fromiter(map(len, seg_iters), _np.intp, nseg)
 
-    def _score_at_current(self, pc: int, addr: int) -> None:
-        node = self._builder.current
-        path_key = tuple(n.begin_id for n in node.path_from_root())
-        state = self._states.get((path_key, pc))
-        if state is not None:
-            _score_access(state, addr, self._builder.current_iterators())
+        # Segments cover the block in order, so this is each access's
+        # segment; its (path id, pc) code finds its reference. A path
+        # without references (pid -1) yields a negative code: no match.
+        seg = _np.repeat(_np.arange(nseg), ends - starts)
+        pcs = block.pc
+        codes = pids[seg] * LIB_PC_BASE + pcs
+        slot = _np.minimum(
+            _np.searchsorted(self._codes, codes), len(self._codes) - 1
+        )
+        found = (self._codes[slot] == codes) & (pcs < LIB_PC_BASE)
+        if not found.any():
+            return
+        ref = self._owners[slot[found]]
+        seg = seg[found]
+        addr = block.addr[found]
+
+        # Iterator k of an access is flat[first + k] while k < depth
+        # (the trailing pad keeps every index in range).
+        width = self._width
+        flat = _np.fromiter(
+            chain(chain.from_iterable(seg_iters), (0,) * width), _np.int64
+        )
+        const, coef = self._const, self._coef
+        max_iter = int(_np.abs(flat).max()) if flat.size else 0
+        if const.dtype == object or (
+            self._const_bound + self._coef_bound * max_iter >= _INT64_LIMIT
+        ):
+            const, coef = const.astype(object), coef.astype(object)
+            flat, addr = flat.astype(object), addr.astype(object)
+        depth = depths[seg]
+        first = (_np.cumsum(depths) - depths)[seg]
+        inner = _np.zeros(len(ref), dtype=flat.dtype)
+        for k in range(width):
+            inner += coef[ref, k] * _np.where(k < depth, flat[first + k], 0)
+
+        shallow = depth < self._m_arr[ref]
+        full = self._full[ref]
+        nref = len(self._m)
+        self._checked += _np.bincount(ref[full | shallow], minlength=nref)
+        hit = full & ~shallow & (const[ref] + inner == addr)
+        self._predicted += _np.bincount(ref[hit], minlength=nref)
+        rebased = ~(full | shallow)
+        if rebased.any():
+            self._score_rebased(
+                ref[rebased].tolist(), seg[rebased].tolist(),
+                addr[rebased].tolist(), inner[rebased].tolist(), seg_iters,
+            )
+
+    def _score_rebased(
+        self,
+        refs: list[int],
+        segs: list[int],
+        addrs: list[int],
+        inners: list[int],
+        seg_iters: list[tuple[int, ...]],
+    ) -> None:
+        """Partial references, in trace order: a new outer context
+        re-anchors the constant (partial affine semantics) and is not
+        scored; later accesses in that context are."""
+        anchors, offsets, ms = self._anchors, self._offsets, self._m
+        scored: list[int] = []
+        predicted: list[int] = []
+        for r, s, addr, inner in zip(refs, segs, addrs, inners):
+            outer = seg_iters[s][ms[r]:]
+            if anchors[r] != outer:
+                anchors[r] = outer
+                offsets[r] = addr - inner
+                continue
+            scored.append(r)
+            if offsets[r] + inner == addr:
+                predicted.append(r)
+        nref = len(ms)
+        self._checked += _np.bincount(
+            _np.array(scored, dtype=_np.intp), minlength=nref
+        )
+        self._predicted += _np.bincount(
+            _np.array(predicted, dtype=_np.intp), minlength=nref
+        )
 
     def finish(self) -> ValidationReport:
-        self._report.unexercised = sum(
-            1 for validation in self._report.per_reference
+        report = self._report
+        counts = zip(self._checked.tolist(), self._predicted.tolist())
+        for validation, (checked, predicted) in zip(
+            report.per_reference, counts
+        ):
+            validation.checked = checked
+            validation.predicted = predicted
+        report.unexercised = sum(
+            1 for validation in report.per_reference
             if not validation.exercised
         )
-        return self._report
+        return report
 
 
 def validate_model(
@@ -286,41 +373,9 @@ def validate_model(
 ) -> ValidationReport:
     """Replay stored ``records`` and score every model reference."""
     sink = ValidationSink(model, checkpoint_map)
-    for record in records:
-        sink.emit(record)
+    for block in blocks_from_records(records):
+        sink.emit_columns(block)
     return sink.finish()
-
-
-def _score_access(state: _RefState, addr: int, iterators: tuple[int, ...]) -> None:
-    expression = state.expression
-    m = expression.num_iterators
-    if len(iterators) < m:
-        # The replayed nest is shallower than the expression (e.g. a
-        # truncated or foreign trace): the prediction is undefined, so
-        # score a misprediction instead of zip-truncating the iterator
-        # vector into a garbage match.
-        state.validation.checked += 1
-        return
-    inner = iterators[:m]
-    inner_part = sum(
-        coefficient * value
-        for coefficient, value in zip(expression.used_coefficients(), inner)
-    )
-    if state.rebase:
-        outer = iterators[m:]
-        if state.offset is None or state.anchor_iters != outer:
-            # New outer context: re-anchor the constant (partial affine
-            # semantics) and do not score this access.
-            state.offset = addr - inner_part
-            state.anchor_iters = outer
-            return
-        predicted = state.offset + inner_part
-    else:
-        predicted = expression.const + inner_part
-
-    state.validation.checked += 1
-    if predicted == addr:
-        state.validation.predicted += 1
 
 
 @dataclass(frozen=True)

@@ -1074,7 +1074,7 @@ def _replay_scenario(
     """Replay one scenario's trace against ``model``, scored online.
 
     The replay attaches a :class:`ValidationSink` directly to the engine
-    (batched sink protocol), so the scenario trace is never materialized;
+    (columnar sink protocol), so the scenario trace is never materialized;
     finished reports are memoized in ``validation_cache``.
     """
     key = validation_key(workload, profile, scenario, config)

@@ -408,6 +408,31 @@ def expand_block(
         yield Checkpoint(checkpoint_id, CODE_TO_KIND[code])
 
 
+def blocks_from_records(
+    records: Iterable[TraceRecord],
+    block_size: int = DEFAULT_TRACE_BLOCK,
+) -> Iterator[ColumnBlock]:
+    """Batch a record stream into :class:`ColumnBlock`s of at most
+    ``block_size`` accesses — the inverse of :func:`expand_block`, for
+    replaying stored traces into sinks that only speak ``emit_columns``."""
+    accesses: list[AccessTuple] = []
+    checkpoints: list[CheckpointTuple] = []
+    for record in records:
+        if isinstance(record, Access):
+            accesses.append(
+                (record.pc, record.addr, record.size, record.is_write)
+            )
+            if len(accesses) == block_size:
+                yield ColumnBlock.from_tuples(accesses, checkpoints)
+                accesses, checkpoints = [], []
+        else:
+            checkpoints.append(
+                (len(accesses), record.checkpoint_id, KIND_TO_CODE[record.kind])
+            )
+    if accesses or checkpoints:
+        yield ColumnBlock.from_tuples(accesses, checkpoints)
+
+
 class TraceCollector:
     """A sink that stores all records in memory (tests, small runs)."""
 
