@@ -265,6 +265,10 @@ class LoopTreeBuilder:
         return begin_id
 
     def finish(self) -> LoopNode:
-        """Finalize trip counts and return the tree root."""
+        """Finalize trip counts and return the tree root.
+
+        The transition memo is dropped: no checkpoint follows, and a
+        finished extractor is pickled into the artifact store."""
+        self._transitions.clear()
         self.root.finalize()
         return self.root

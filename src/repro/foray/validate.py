@@ -37,12 +37,13 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import attrgetter, itemgetter
+from operator import attrgetter, itemgetter, mul
 from typing import Any, Iterable
 
-from repro.foray.looptree import LoopTreeBuilder
+from repro.foray.looptree import LoopNode, LoopTreeBuilder, Segment
 from repro.foray.model import ForayModel, ForayReference
 from repro.sim.trace import (
+    HAVE_NUMPY,
     LIB_PC_BASE,
     CheckpointMap,
     ColumnBlock,
@@ -50,13 +51,8 @@ from repro.sim.trace import (
     blocks_from_records,
 )
 
-_np: Any = None
-try:
-    import numpy as _numpy
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    pass
-else:
-    _np = _numpy
+if HAVE_NUMPY:
+    import numpy as _np
 
 
 @dataclass
@@ -189,13 +185,13 @@ class ValidationSink:
     The model's constants and coefficients live in int64 arrays when
     their magnitudes allow, else in Python-int object arrays; a block
     whose iterators could overflow int64 is scored with Python ints, so
-    scoring is always exact.
+    scoring is always exact. Without numpy, each segment is scored
+    access by access over :meth:`ColumnBlock.lists` with Python ints.
     """
 
     def __init__(self, model: ForayModel, checkpoint_map: CheckpointMap):
-        if _np is None:  # pragma: no cover - numpy ships with the toolchain
-            raise RuntimeError("ValidationSink requires numpy")
         references = model.references
+        nref = len(references)
         self._report = ValidationReport(
             [ReferenceValidation(reference) for reference in references]
         )
@@ -217,8 +213,6 @@ class ValidationSink:
                 pid = self._path_ids.setdefault(path, len(self._path_ids))
                 coded.append((pid * LIB_PC_BASE + pc, index))
         coded.sort()
-        self._codes: Any = _np.array([c for c, _ in coded], dtype=_np.int64)
-        self._owners: Any = _np.array([i for _, i in coded], dtype=_np.intp)
 
         expressions = [reference.expression for reference in references]
         self._m = [expression.num_iterators for expression in expressions]
@@ -229,6 +223,23 @@ class ValidationSink:
             for expression in expressions
         ]
         consts = [expression.const for expression in expressions]
+        full = [reference.is_full for reference in references]
+        #: Partial references' current anchor: the outer iterators and
+        #: the re-based constant.
+        self._anchors: list[tuple[int, ...] | None] = [None] * nref
+        self._offsets: list[int] = [0] * nref
+        self._vectorized = HAVE_NUMPY
+        if not self._vectorized:
+            self._owner_at = dict(coded)
+            self._rows = rows
+            self._consts = consts
+            self._is_full = full
+            self._checked: Any = [0] * nref
+            self._predicted: Any = [0] * nref
+            return
+
+        self._codes: Any = _np.array([c for c, _ in coded], dtype=_np.int64)
+        self._owners: Any = _np.array([i for _, i in coded], dtype=_np.intp)
         self._const_bound = max(map(abs, consts), default=0)
         self._coef_bound = max(
             (sum(map(abs, row)) for row in rows), default=0
@@ -239,34 +250,34 @@ class ValidationSink:
             else object
         )
         self._const: Any = _np.array(consts, dtype=dtype)
-        self._coef: Any = _np.array(rows, dtype=dtype).reshape(
-            len(references), width
-        )
+        self._coef: Any = _np.array(rows, dtype=dtype).reshape(nref, width)
         self._m_arr: Any = _np.array(self._m, dtype=_np.int64)
-        self._full: Any = _np.array(
-            [reference.is_full for reference in references], dtype=bool
-        )
-        self._checked: Any = _np.zeros(len(references), dtype=_np.int64)
-        self._predicted: Any = _np.zeros(len(references), dtype=_np.int64)
-        #: Partial references' current anchor: the outer iterators and
-        #: the re-based constant.
-        self._anchors: list[tuple[int, ...] | None] = [None] * len(references)
-        self._offsets: list[int] = [0] * len(references)
+        self._full: Any = _np.array(full, dtype=bool)
+        self._checked = _np.zeros(nref, dtype=_np.int64)
+        self._predicted = _np.zeros(nref, dtype=_np.int64)
 
-    def emit_columns(self, block: ColumnBlock) -> None:
-        segments = self._builder.walk_block(block)
-        if not segments or not len(self._codes):
-            return
-        nseg = len(segments)
-        # Per-segment columns, gathered without a Python-level loop.
-        nodes = list(map(_NODE, segments))
+    def _segment_paths(self, nodes: list[LoopNode]) -> list[int]:
+        """The path id of each segment's node (-1: no references)."""
         uids = list(map(_UID, nodes))
         node_paths = self._node_paths
         for uid, node in dict(zip(uids, nodes)).items():
             if uid not in node_paths:
                 path = tuple(loop.begin_id for loop in node.path_from_root())
                 node_paths[uid] = self._path_ids.get(path, -1)
-        pids = _np.fromiter(map(node_paths.__getitem__, uids), _np.int64, nseg)
+        return list(map(node_paths.__getitem__, uids))
+
+    def emit_columns(self, block: ColumnBlock) -> None:
+        segments = self._builder.walk_block(block)
+        if not segments or not self._path_ids:
+            return
+        if not self._vectorized:
+            self._score_lists(block, segments)
+            return
+        nseg = len(segments)
+        # Per-segment columns, gathered without a Python-level loop.
+        pids = _np.array(
+            self._segment_paths(list(map(_NODE, segments))), dtype=_np.int64
+        )
         starts = _np.fromiter(map(_START, segments), _np.intp, nseg)
         ends = _np.fromiter(map(_END, segments), _np.intp, nseg)
         seg_iters = list(map(_ITERATORS, segments))
@@ -315,10 +326,58 @@ class ValidationSink:
         self._predicted += _np.bincount(ref[hit], minlength=nref)
         rebased = ~(full | shallow)
         if rebased.any():
-            self._score_rebased(
+            scored, predicted = self._score_rebased(
                 ref[rebased].tolist(), seg[rebased].tolist(),
                 addr[rebased].tolist(), inner[rebased].tolist(), seg_iters,
             )
+            self._checked += _np.bincount(
+                _np.array(scored, dtype=_np.intp), minlength=nref
+            )
+            self._predicted += _np.bincount(
+                _np.array(predicted, dtype=_np.intp), minlength=nref
+            )
+
+    def _score_lists(self, block: ColumnBlock, segments: list[Segment]) -> None:
+        """The numpy-free path: the same scoring, one access at a time."""
+        pcs, addrs = block.lists()[:2]
+        owner_at, ms, rows = self._owner_at, self._m, self._rows
+        consts, is_full = self._consts, self._is_full
+        checked, predicted = self._checked, self._predicted
+        refs: list[int] = []
+        segs: list[int] = []
+        rebased_addrs: list[int] = []
+        inners: list[int] = []
+        seg_iters = list(map(_ITERATORS, segments))
+        pids = self._segment_paths(list(map(_NODE, segments)))
+        for s, (start, end, _, iterators) in enumerate(segments):
+            if pids[s] < 0:
+                continue
+            base = pids[s] * LIB_PC_BASE
+            for i in range(start, end):
+                pc = pcs[i]
+                r = owner_at.get(base + pc) if pc < LIB_PC_BASE else None
+                if r is None:
+                    continue
+                if len(iterators) < ms[r]:
+                    checked[r] += 1
+                    continue
+                inner = sum(map(mul, rows[r], iterators))
+                if not is_full[r]:
+                    refs.append(r)
+                    segs.append(s)
+                    rebased_addrs.append(addrs[i])
+                    inners.append(inner)
+                    continue
+                checked[r] += 1
+                if consts[r] + inner == addrs[i]:
+                    predicted[r] += 1
+        scored, hits = self._score_rebased(
+            refs, segs, rebased_addrs, inners, seg_iters
+        )
+        for r in scored:
+            checked[r] += 1
+        for r in hits:
+            predicted[r] += 1
 
     def _score_rebased(
         self,
@@ -327,10 +386,11 @@ class ValidationSink:
         addrs: list[int],
         inners: list[int],
         seg_iters: list[tuple[int, ...]],
-    ) -> None:
+    ) -> tuple[list[int], list[int]]:
         """Partial references, in trace order: a new outer context
         re-anchors the constant (partial affine semantics) and is not
-        scored; later accesses in that context are."""
+        scored; later accesses in that context are. Returns the scored
+        and the predicted accesses' reference indices."""
         anchors, offsets, ms = self._anchors, self._offsets, self._m
         scored: list[int] = []
         predicted: list[int] = []
@@ -343,22 +403,16 @@ class ValidationSink:
             scored.append(r)
             if offsets[r] + inner == addr:
                 predicted.append(r)
-        nref = len(ms)
-        self._checked += _np.bincount(
-            _np.array(scored, dtype=_np.intp), minlength=nref
-        )
-        self._predicted += _np.bincount(
-            _np.array(predicted, dtype=_np.intp), minlength=nref
-        )
+        return scored, predicted
 
     def finish(self) -> ValidationReport:
         report = self._report
-        counts = zip(self._checked.tolist(), self._predicted.tolist())
+        counts = zip(list(self._checked), list(self._predicted))
         for validation, (checked, predicted) in zip(
             report.per_reference, counts
         ):
-            validation.checked = checked
-            validation.predicted = predicted
+            validation.checked = int(checked)
+            validation.predicted = int(predicted)
         report.unexercised = sum(
             1 for validation in report.per_reference
             if not validation.exercised

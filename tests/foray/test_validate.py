@@ -13,6 +13,7 @@ from repro.foray.model import (
     ForayModel,
     ForayReference,
 )
+from repro.foray import validate as validate_module
 from repro.foray.validate import (
     ReferenceValidation,
     ValidationReport,
@@ -424,3 +425,32 @@ class TestExactArithmetic:
         assert report == oracle
         assert report.per_reference[0].checked == 4
         assert report.per_reference[0].predicted == predicted
+
+
+class _WithoutNumpy:
+    """Mixin: run the inherited tests with numpy hidden from the
+    validation module, so every sink takes the pure-Python scorer."""
+
+    @pytest.fixture(autouse=True)
+    def _hide_numpy(self, monkeypatch):
+        monkeypatch.setattr(validate_module, "HAVE_NUMPY", False)
+        monkeypatch.setattr(validate_module, "_np", None, raising=False)
+
+
+class TestBlockBoundaryParityWithoutNumpy(_WithoutNumpy,
+                                         TestBlockBoundaryParity):
+    pass
+
+
+class TestExactArithmeticWithoutNumpy(_WithoutNumpy, TestExactArithmetic):
+    pass
+
+
+class TestShallowTraceRegressionWithoutNumpy(_WithoutNumpy,
+                                             TestShallowTraceRegression):
+    pass
+
+
+class TestValidationSinkProtocolWithoutNumpy(_WithoutNumpy,
+                                             TestValidationSinkProtocol):
+    pass
