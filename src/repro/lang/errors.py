@@ -51,3 +51,10 @@ class MiniCRuntimeError(MiniCError):
 
 class MemoryFault(MiniCRuntimeError):
     """Raised on an access to an unmapped simulated address."""
+
+
+def nonfinite_conversion(value: object) -> MiniCRuntimeError:
+    """The error for converting a NaN or an infinity to an integer type
+    (undefined behaviour in C); every engine raises it at the conversion."""
+    return MiniCRuntimeError(
+        f"conversion of non-finite value {value} to an integer")

@@ -50,7 +50,7 @@ from repro.lang.ctypes_ import (
     StructType,
     decay,
 )
-from repro.lang.errors import MiniCRuntimeError
+from repro.lang.errors import MiniCRuntimeError, nonfinite_conversion
 from repro.lang.semantics import Symbol
 from repro.sim import builtins as libc
 from repro.sim.builtins import ExitSignal
@@ -66,7 +66,6 @@ from repro.sim.memory import (
 from repro.sim.trace import (
     BODY_END_CODE,
     DEFAULT_TRACE_BLOCK,
-    LIB_PC_BASE,
     ColumnBlock,
     TraceSink,
     load_pc,
@@ -78,6 +77,7 @@ if TYPE_CHECKING:
     from repro.sim import specialize
 
 _ADDR_MASK = 0xFFFFFFFF
+_INF = float("inf")
 
 #: One lowered instruction: ``(op, *operands)``. Operand shapes are
 #: per-opcode (see the opcode table below), so the tuple stays loose.
@@ -133,7 +133,7 @@ _Ins = tuple[Any, ...]
     OP_NEG_F,       # (op, dst, a)
     OP_NOT,         # (op, dst, a)
     OP_BNOT,        # (op, dst, a, mask, maxv)
-    OP_CONV_I,      # (op, dst, src, mask, maxv)
+    OP_CONV_I,      # (op, dst, src, mask, maxv, checked)
     OP_CONV_F,      # (op, dst, src)
     OP_CONV_P,      # (op, dst, src)
     OP_CALL,        # (op, dst, function_name, arg_slots)
@@ -434,7 +434,8 @@ class _FunctionCompiler:
                     value = self.temp()
                     self.emit(OP_CONST, value,
                               0.0 if symbol.ctype.is_float else 0)
-                self._emit_convert(slot, value, symbol.ctype)
+                self._emit_convert(slot, value, symbol.ctype,
+                                   decl.init.ctype if decl.init else None)
                 self.release(mark)
 
     def _compile_init_object(self, addr_slot: int, offset: int, ctype: CType,
@@ -473,7 +474,8 @@ class _FunctionCompiler:
         mark = self.mark()
         value = self.compile_expr(init)
         pc = store_pc(init.node_id) if traced else -1
-        self._emit_store(addr_slot, offset, value, self.temp(), ctype, pc)
+        self._emit_store(addr_slot, offset, value, self.temp(), ctype, pc,
+                         init.ctype)
         self.release(mark)
 
     def _compile_if(self, stmt: ast.If) -> None:
@@ -663,7 +665,8 @@ class _FunctionCompiler:
         if isinstance(expr, ast.Cast):
             value = self.compile_expr(expr.operand)
             t = self.temp()
-            self._emit_convert(t, value, expr.target_type)
+            self._emit_convert(t, value, expr.target_type,
+                               expr.operand.ctype)
             return t
         if isinstance(expr, ast.SizeofType):
             t = self.temp()
@@ -782,12 +785,18 @@ class _FunctionCompiler:
         return t
 
     def _emit_store(self, addr_slot: int, offset: int, src: int, dst: int,
-                    ctype: CType, pc: int) -> int:
+                    ctype: CType, pc: int,
+                    value_type: CType | None = None) -> int:
         """Convert + write + trace; ``dst`` receives the converted value
         (the value of the assignment expression). ``pc < 0`` disables the
-        trace record (global initialization)."""
+        trace record (global initialization). A floating ``value_type``
+        stored to an integer gets its checked conversion first."""
         if isinstance(ctype, IntType):
             mask, maxv = _int_conv(ctype)
+            if isinstance(value_type, FloatType):
+                converted = self.temp()
+                self.emit(OP_CONV_I, converted, src, mask, maxv, True)
+                src = converted
             self.emit(OP_STORE_I, addr_slot, offset, src, dst, ctype.size,
                       mask, maxv, _INT_STORE_FMT[ctype.size], pc)
         elif isinstance(ctype, FloatType):
@@ -799,10 +808,14 @@ class _FunctionCompiler:
             raise MiniCRuntimeError(f"cannot store a value of type {ctype}")
         return dst
 
-    def _emit_convert(self, dst: int, src: int, ctype: CType) -> None:
+    def _emit_convert(self, dst: int, src: int, ctype: CType,
+                      value_type: CType | None = None) -> None:
+        """``dst = (ctype) src``; a floating ``value_type`` converted to an
+        integer is checked (a NaN or infinity is a runtime error)."""
         if isinstance(ctype, IntType):
             mask, maxv = _int_conv(ctype)
-            self.emit(OP_CONV_I, dst, src, mask, maxv)
+            self.emit(OP_CONV_I, dst, src, mask, maxv,
+                      isinstance(value_type, FloatType))
         elif isinstance(ctype, FloatType):
             self.emit(OP_CONV_F, dst, src)
         elif isinstance(ctype, PointerType):
@@ -986,10 +999,11 @@ class _FunctionCompiler:
         if expr.op == "":
             value = self.compile_expr(expr.value)
             if kind == "r":
-                self._emit_convert(ref, value, target_type)
+                self._emit_convert(ref, value, target_type, expr.value.ctype)
                 return ref
             return self._emit_store(ref, 0, value, self.temp(), target_type,
-                                    store_pc(expr.target.node_id))
+                                    store_pc(expr.target.node_id),
+                                    expr.value.ctype)
         # Compound: read old, apply, write back. Intermediate wrapping with
         # the lvalue's own type is idempotent with the write conversion, so
         # the specialized opcodes reproduce the tree-walker's raw-then-
@@ -1124,8 +1138,9 @@ class BytecodeVM:
     """Executes one lowered program. Create a fresh instance per run.
 
     Exposes the same builtin facade as the tree-walking interpreter
-    (``write_stdout`` / ``heap_alloc`` / ``lib_load`` / ``lib_store`` plus
-    the deterministic ``rand_state`` / ``input_stream``), so
+    (``write_stdout`` / ``heap_alloc`` / ``lib_load`` / ``lib_store`` /
+    ``lib_trace`` plus ``memory`` and the deterministic ``rand_state`` /
+    ``input_stream``), so
     :mod:`repro.sim.builtins` runs unchanged on both engines.
     """
 
@@ -1190,15 +1205,36 @@ class BytecodeVM:
     def lib_load(self, builtin: str, addr: int, size: int) -> int:
         value = self.memory.read_int(addr, size, signed=False)
         if self._tracing:
-            pc = LIB_PC_BASE + 8 * libc.BUILTIN_INDEX[builtin]
+            pc = libc.lib_pc(builtin)
             self._trace_access(pc, addr, size, False)
         return value
 
     def lib_store(self, builtin: str, addr: int, value: int, size: int) -> None:
         self.memory.write_int(addr, value, size)
         if self._tracing:
-            pc = LIB_PC_BASE + 8 * libc.BUILTIN_INDEX[builtin] + 4
+            pc = libc.lib_pc(builtin) + 4
             self._trace_access(pc, addr, size, True)
+
+    def lib_trace(self, run: list[int]) -> None:
+        """Append a flat run of library records (``[pc, addr, size,
+        is_write, ...]``), flushing exactly where :meth:`_trace_access`
+        would per record. Specialized code checks the limit once per
+        block, so the buffer may already be past it: the per-record path
+        then appends one record and flushes."""
+        if not self._tracing:
+            return
+        buf = self._acc_buf
+        limit = self._flat_limit
+        if len(buf) + len(run) < limit:
+            buf.extend(run)
+            return
+        pos = 0
+        while pos < len(run):
+            take = max(4, limit - len(buf))
+            buf.extend(run[pos:pos + take])
+            pos += take
+            if len(buf) >= limit:
+                self._flush_trace()
 
     # ------------------------------------------------------------------
     # Trace plumbing
@@ -1277,7 +1313,7 @@ class BytecodeVM:
         finally:
             self._tracing = False
             self._flush_trace()
-        return int(result) if result is not None else 0
+        return libc.exit_status(result)
 
     def _run_specialized(self, spec: "specialize.Specialization",
                          entry: str) -> int:
@@ -1306,7 +1342,7 @@ class BytecodeVM:
             self._flush_trace()
             if sys.getrecursionlimit() != limit:
                 sys.setrecursionlimit(limit)
-        return int(result) if result is not None else 0
+        return libc.exit_status(result)
 
     def _bind_frame(self, fn: BytecodeFunction,
                     args: list[Any]) -> tuple[list[Any], int]:
@@ -1318,7 +1354,7 @@ class BytecodeVM:
             conv = spec.conv
             if conv == 1:
                 mask = spec.mask
-                value = int(arg) & mask
+                value = libc.to_int(arg) & mask
                 if spec.maxv >= 0 and value > spec.maxv:
                     value -= mask + 1
             elif conv == 2:
@@ -1636,7 +1672,10 @@ class BytecodeVM:
                         value -= ins[3] + 1
                     regs[ins[1]] = value
                 elif op == OP_CONV_I:
-                    value = int(regs[ins[2]]) & ins[3]
+                    value = regs[ins[2]]
+                    if ins[5] and not -_INF < value < _INF:
+                        raise nonfinite_conversion(value)
+                    value = int(value) & ins[3]
                     if ins[4] >= 0 and value > ins[4]:
                         value -= ins[3] + 1
                     regs[ins[1]] = value
@@ -1769,7 +1808,8 @@ _FUSED_MEM_OPS = frozenset((OP_LDELEM_I, OP_LDELEM_F, OP_STELEM_I,
                             OP_STELEM_F, OP_STELEM_P))
 
 #: Instructions with no observable effect and no way to raise: a STEP's
-#: count may move backwards across them (see :func:`_sink_steps`).
+#: count may move backwards across them (see :func:`_sink_steps`). A
+#: checked OP_CONV_I is the exception (see :func:`is_pure`).
 _PURE_OPS = frozenset((
     OP_CONST, OP_MOV, OP_ELEM, OP_ADD_P, OP_MEMBOFF, OP_ADDK_P,
     OP_ADD_I, OP_SUB_I, OP_MUL_I, OP_ADDK_I,
@@ -1780,6 +1820,12 @@ _PURE_OPS = frozenset((
     OP_SHL, OP_SHR, OP_AND, OP_OR, OP_XOR,
     OP_SUB_PI, OP_SUB_PP, OP_GADDR,
 ))
+
+
+def is_pure(ins: _Ins) -> bool:
+    """Whether ``ins`` has no observable effect and cannot raise: a
+    checked float-to-int conversion faults on a NaN or an infinity."""
+    return ins[0] in _PURE_OPS and not (ins[0] == OP_CONV_I and ins[5])
 
 
 def _liveness(code: Sequence[_Ins]) -> list[int]:
@@ -1970,7 +2016,7 @@ def _sink_steps(code: list[_Ins]) -> None:
             else:
                 last = i
             continue
-        if op not in _PURE_OPS:
+        if not is_pure(ins):
             # A division whose divisor slot provably holds a nonzero
             # integer constant cannot raise either.
             if not ((op == OP_DIV_I or op == OP_MOD_I)

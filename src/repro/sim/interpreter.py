@@ -33,7 +33,7 @@ from repro.lang.ctypes_ import (
     StructType,
     decay,
 )
-from repro.lang.errors import MiniCRuntimeError
+from repro.lang.errors import MiniCRuntimeError, nonfinite_conversion
 from repro.lang.semantics import Symbol
 from repro.sim import builtins as libc
 from repro.sim.inputs import InputSpec, InputStream
@@ -49,7 +49,6 @@ from repro.sim.trace import (
     BODY_BEGIN_CODE,
     BODY_END_CODE,
     DEFAULT_TRACE_BLOCK,
-    LIB_PC_BASE,
     LOOP_BEGIN_CODE,
     ColumnBlock,
     TraceSink,
@@ -160,7 +159,7 @@ class Interpreter:
             self._trace_on = False
             self._flush_trace()
             sys.setrecursionlimit(old_limit)
-        return int(result) if result is not None else 0
+        return libc.exit_status(result)
 
     # ------------------------------------------------------------------
     # Builtin facade (used by repro.sim.builtins)
@@ -175,15 +174,36 @@ class Interpreter:
     def lib_load(self, builtin: str, addr: int, size: int) -> int:
         value = self.memory.read_int(addr, size, signed=False)
         if self._trace_on:
-            pc = LIB_PC_BASE + 8 * libc.BUILTIN_INDEX[builtin]
+            pc = libc.lib_pc(builtin)
             self._emit_access(pc, addr, size, False)
         return value
 
     def lib_store(self, builtin: str, addr: int, value: int, size: int) -> None:
         self.memory.write_int(addr, value, size)
         if self._trace_on:
-            pc = LIB_PC_BASE + 8 * libc.BUILTIN_INDEX[builtin] + 4
+            pc = libc.lib_pc(builtin) + 4
             self._emit_access(pc, addr, size, True)
+
+    def lib_trace(self, run: list[int]) -> None:
+        """Append a flat run of library records (``[pc, addr, size,
+        is_write, ...]``), flushing exactly where :meth:`_emit_access`
+        would per record."""
+        if not self._trace_on:
+            return
+        self.stats.accesses += len(run) >> 2
+        if not self._sinks:
+            return
+        fields = iter(run)
+        records = [(pc, addr, size, bool(is_write)) for pc, addr, size, is_write
+                   in zip(fields, fields, fields, fields)]
+        pos = 0
+        while pos < len(records):
+            buf = self._acc_buf
+            take = max(1, self._block_size - len(buf))
+            buf.extend(records[pos:pos + take])
+            pos += take
+            if len(buf) >= self._block_size:
+                self._flush_trace()
 
     # ------------------------------------------------------------------
     # Trace plumbing
@@ -505,7 +525,10 @@ class Interpreter:
 
     def _convert(self, value: object, ctype: CType) -> object:
         if isinstance(ctype, IntType):
-            return ctype.wrap(int(value))
+            try:
+                return ctype.wrap(int(value))
+            except (ValueError, OverflowError):  # a NaN or an infinity
+                raise nonfinite_conversion(value) from None
         if isinstance(ctype, FloatType):
             return float(value)
         if isinstance(ctype, PointerType):

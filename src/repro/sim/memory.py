@@ -92,15 +92,6 @@ class Memory:
             data = struct.pack(fmt, float("inf") if value > 0 else float("-inf"))
         self.write_bytes(addr, data)
 
-    def read_cstring(self, addr: int, max_len: int = 1 << 20) -> str:
-        chars: list[str] = []
-        for offset in range(max_len):
-            byte = self.read_bytes(addr + offset, 1)[0]
-            if byte == 0:
-                return "".join(chars)
-            chars.append(chr(byte))
-        raise MemoryFault(f"unterminated string at {addr:#x}")
-
 
 class BumpAllocator:
     """Bump-pointer allocator used for both globals and the heap.

@@ -60,10 +60,9 @@ _W = Callable[[str], None]
 
 _M32 = "4294967295"
 
-#: Side-effect-free, non-raising opcodes writing operand 1 — skipped
-#: outright when the destination is dead. DECL/STR never qualify: they
-#: move the stack/intern pointers, which later addresses observe.
-_DEAD_SKIP = bc._PURE_OPS
+#: Builtin handlers bound by name into every specialized environment.
+_BUILTIN_ENV = {f"_LB_{name}": handler
+                for name, handler in bc.libc.BUILTINS.items()}
 
 
 @dataclass
@@ -206,6 +205,8 @@ class Specialization:
                       f"{vm._max_steps} steps"),
             "_ELE": bc.ExecLimitExceeded,
             "_RTE": bc.MiniCRuntimeError,
+            "_NFC": bc.nonfinite_conversion,
+            "_INF": bc._INF,
             "_EXIT": bc.ExitSignal,
             "_ST": vm.stats,
             "_PUSH": vm._stack.push_frame,
@@ -213,10 +214,10 @@ class Specialization:
             "_SALLOC": vm._stack.allocate,
             "_GA": vm._global_addrs,
             "_ISTR": vm._intern_string,
-            "_CB": bc.libc.call_builtin,
             "_CDIV": bc._c_div,
             "_PEND": vm._pending_body_ends_one,
             "_C": self.consts,
+            **_BUILTIN_ENV,
         }
         for i, fmt in enumerate(self.fmts):
             env[f"_U{i}"] = bc._UNPACK.get(fmt)
@@ -823,7 +824,10 @@ class _Codegen:
             w(f"    if {i} < _n:")
             w(f"        v_ = _a[{i}]")
             if spec.conv == 1:
-                w(f"        v_ = int(v_) & {spec.mask}")
+                w("        try:")
+                w(f"            v_ = int(v_) & {spec.mask}")
+                w("        except (ValueError, OverflowError):")
+                w("            raise _NFC(v_) from None")
                 if spec.maxv >= 0:
                     w(f"        if v_ > {spec.maxv}: "
                       f"v_ -= {spec.mask + 1}")
@@ -1141,9 +1145,11 @@ class _Codegen:
         w = self.lines.append
         op = ins[0]
         B = bc
-        if op in _DEAD_SKIP and not (live_out[pc] >> ins[1]) & 1:
+        if B.is_pure(ins) and not (live_out[pc] >> ins[1]) & 1:
             # The write is dead and the computation cannot raise or
-            # touch memory: nothing to emit. Stale tracking for the
+            # touch memory: nothing to emit (DECL/STR never qualify:
+            # they move the stack/intern pointers, which later
+            # addresses observe). Stale tracking for the
             # slot is harmless — it cannot be read before the next
             # write, which resets it.
             return False
@@ -1383,7 +1389,12 @@ class _Codegen:
         elif op == B.OP_CONV_I:
             src, mask, maxv = ins[2], ins[3], ins[4]
             value = self._lit_int(src)
-            if value is not None:
+            if ins[5]:
+                source = self._rd(src)
+                abort = self._steps_raise(f"_NFC({source})")
+                w(f"    if not -_INF < {source} < _INF: {abort}")
+                self._wrap(f"int({source})", mask, maxv, ins[1])
+            elif value is not None:
                 folded = value & mask
                 if maxv >= 0 and folded > maxv:
                     folded -= mask + 1
@@ -1425,7 +1436,9 @@ class _Codegen:
             args = ", ".join(self._rd(slot) for slot in ins[3])
             self._flush_steps()
             w(f"    r[{pcs}] = {pc}")
-            w(f"    {self._wr(ins[1])} = _CB(_VM, {ins[2]!r}, [{args}])")
+            # The handler is bound by name, not looked up per call (the
+            # IR verifier rejects unknown builtin names).
+            w(f"    {self._wr(ins[1])} = _LB_{ins[2]}(_VM, [{args}])")
             self._snap = None  # builtins like puts() append to the trace
         elif op == B.OP_RET:
             result = self._rd(ins[1])

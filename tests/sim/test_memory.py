@@ -61,11 +61,6 @@ class TestMemory:
         memory.write_float(0x600, 1e300, 4)
         assert memory.read_float(0x600, 4) == float("inf")
 
-    def test_cstring(self):
-        memory = Memory()
-        memory.write_bytes(0x700, b"abc\0def")
-        assert memory.read_cstring(0x700) == "abc"
-
     def test_negative_address_faults(self):
         memory = Memory()
         with pytest.raises(MemoryFault):
